@@ -33,20 +33,44 @@ SyntheticSpec small_spec() {
   return spec;
 }
 
-void BM_MatMul(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
+enum class MatMulLayout { kNN, kTN, kNT };
+
+// C(m,n) from A(m,k) and B(k,n) stored as each ops:: variant expects: tn
+// reads A as (k,m), nt reads B as (n,k).  The shapes are the ones the
+// workloads run: resnet32_lite's Dense layers at batch 32 (64 -> 96 -> 64 ->
+// 10) and the 512 x 256 linear model at batch 8.
+void BM_MatMul(benchmark::State& state, MatMulLayout layout, std::size_t m, std::size_t k,
+               std::size_t n) {
   Rng rng(1);
-  Tensor a({m, m}), b({m, m}), c({m, m});
+  const Shape a_shape = layout == MatMulLayout::kTN ? Shape{k, m} : Shape{m, k};
+  const Shape b_shape = layout == MatMulLayout::kNT ? Shape{n, k} : Shape{k, n};
+  Tensor a(a_shape), b(b_shape), c({m, n});
   for (std::size_t i = 0; i < a.numel(); ++i) a[i] = static_cast<float>(rng.gaussian());
   for (std::size_t i = 0; i < b.numel(); ++i) b[i] = static_cast<float>(rng.gaussian());
   for (auto _ : state) {
-    ops::matmul(a, b, c);
+    switch (layout) {
+      case MatMulLayout::kNN: ops::matmul(a, b, c); break;
+      case MatMulLayout::kTN: ops::matmul_tn(a, b, c); break;
+      case MatMulLayout::kNT: ops::matmul_nt(a, b, c); break;
+    }
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m * m * m));
+  state.counters["FLOP/s"] = benchmark::Counter(2.0 * static_cast<double>(m * k * n),
+                                                benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_MatMul, nn_32x64x96, MatMulLayout::kNN, 32, 64, 96);
+BENCHMARK_CAPTURE(BM_MatMul, nn_32x96x64, MatMulLayout::kNN, 32, 96, 64);
+BENCHMARK_CAPTURE(BM_MatMul, nn_32x64x10, MatMulLayout::kNN, 32, 64, 10);
+BENCHMARK_CAPTURE(BM_MatMul, nn_8x512x256, MatMulLayout::kNN, 8, 512, 256);
+BENCHMARK_CAPTURE(BM_MatMul, tn_32x64x96, MatMulLayout::kTN, 32, 64, 96);
+BENCHMARK_CAPTURE(BM_MatMul, tn_32x96x64, MatMulLayout::kTN, 32, 96, 64);
+BENCHMARK_CAPTURE(BM_MatMul, tn_32x64x10, MatMulLayout::kTN, 32, 64, 10);
+BENCHMARK_CAPTURE(BM_MatMul, tn_8x512x256, MatMulLayout::kTN, 8, 512, 256);
+BENCHMARK_CAPTURE(BM_MatMul, nt_32x64x96, MatMulLayout::kNT, 32, 64, 96);
+BENCHMARK_CAPTURE(BM_MatMul, nt_32x96x64, MatMulLayout::kNT, 32, 96, 64);
+BENCHMARK_CAPTURE(BM_MatMul, nt_32x64x10, MatMulLayout::kNT, 32, 64, 10);
+BENCHMARK_CAPTURE(BM_MatMul, nt_8x512x256, MatMulLayout::kNT, 8, 512, 256);
 
 void BM_GradientStep(benchmark::State& state) {
   const auto split = make_synthetic(small_spec());

@@ -73,10 +73,17 @@ const Tensor& Conv2D::forward(const Tensor& x) {
 }
 
 const Tensor& Conv2D::backward(const Tensor& dy) {
+  backward_impl(dy, true);
+  return dx_;
+}
+
+void Conv2D::backward_params(const Tensor& dy) { backward_impl(dy, false); }
+
+void Conv2D::backward_impl(const Tensor& dy, bool input_grad) {
   if (dy.rank() != 2 || dy.dim(1) != out_features())
     throw ShapeError("Conv2D::backward: gradient shape mismatch");
   const std::size_t n = dy.dim(0);
-  if (dx_.rank() != 2 || dx_.dim(0) != n || dx_.dim(1) != in_c_ * h_ * w_px_)
+  if (input_grad && (dx_.rank() != 2 || dx_.dim(0) != n || dx_.dim(1) != in_c_ * h_ * w_px_))
     dx_ = Tensor({n, in_c_ * h_ * w_px_});
   dw_.fill(0.0f);
   db_.fill(0.0f);
@@ -100,11 +107,11 @@ const Tensor& Conv2D::backward(const Tensor& dy) {
       db_[c] += acc;
     }
 
+    if (!input_grad) continue;
     ops::matmul_tn(w_, dy_mat, dcols_);  // (ickhkw, ohow)
     std::span<float> dimage{dx_.data() + i * in_c_ * h_ * w_px_, in_c_ * h_ * w_px_};
     ops::col2im(dcols_, in_c_, h_, w_px_, kh_, kw_, pad_, dimage);
   }
-  return dx_;
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {

@@ -18,6 +18,7 @@ class Conv2D final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -29,6 +30,9 @@ class Conv2D final : public Layer {
 
  private:
   Conv2D(const Conv2D& other, int);  // clone helper
+
+  // Parameter gradients of `dy`; also dL/d(input) into dx_ when input_grad.
+  void backward_impl(const Tensor& dy, bool input_grad);
 
   std::size_t in_c_, h_, w_px_, out_c_, kh_, kw_, pad_, oh_, ow_;
   Tensor w_;    // (out_c, in_c*kh*kw)

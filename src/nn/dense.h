@@ -20,6 +20,7 @@ class Dense final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

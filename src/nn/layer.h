@@ -29,6 +29,11 @@ class Layer {
   /// accumulates parameter gradients (overwrite semantics per step).
   virtual const Tensor& backward(const Tensor& dy) = 0;
 
+  /// Backward pass whose dL/d(input) nothing reads (the model's first
+  /// layer): leaves the same parameter gradients as backward() and may skip
+  /// the input gradient.  The default runs the full backward().
+  virtual void backward_params(const Tensor& dy) { backward(dy); }
+
   /// Mutable parameter tensors (may be empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
 

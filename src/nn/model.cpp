@@ -59,7 +59,9 @@ double Model::compute_gradients(const Tensor& x, std::span<const int> labels) {
   const Tensor& logits = forward(x);
   const double loss = loss_.forward(logits, labels);
   const Tensor* grad = &loss_.backward();
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = &(*it)->backward(*grad);
+  // Nothing reads the first layer's input gradient, so it runs params-only.
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) grad = &layers_[i]->backward(*grad);
+  layers_.front()->backward_params(*grad);
   return loss;
 }
 

@@ -63,6 +63,9 @@ class Model {
 
   [[nodiscard]] std::size_t num_layers() const noexcept { return layers_.size(); }
 
+  /// Layer `i` in forward order (bounds-checked).
+  [[nodiscard]] Layer& layer(std::size_t i) { return *layers_.at(i); }
+
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
   SoftmaxCrossEntropy loss_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/error.h"
+#include "tensor/gemm.h"
 
 namespace ss::ops {
 
@@ -15,63 +16,15 @@ void require(bool cond, const char* msg) {
 }  // namespace
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
-  require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul: rank-2 tensors required");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n, "matmul: shape mismatch");
-  c.fill(0.0f);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // ikj ordering: streams B and C rows; good locality without tiling
-  // machinery for the sizes we use (<= a few hundred per dim).
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = pa[i * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm::matmul(gemm::native_width(), a, b, c);
 }
 
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
-  require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul_tn: rank-2 tensors required");
-  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n, "matmul_tn: shape mismatch");
-  c.fill(0.0f);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm::matmul_tn(gemm::native_width(), a, b, c);
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
-  require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul_nt: rank-2 tensors required");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  require(b.dim(1) == k && c.dim(0) == m && c.dim(1) == n, "matmul_nt: shape mismatch");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = acc;
-    }
-  }
+  gemm::matmul_nt(gemm::native_width(), a, b, c);
 }
 
 void add_inplace(std::span<float> y, std::span<const float> x) {
@@ -168,6 +121,8 @@ void softmax_xent_backward(const Tensor& probs, std::span<const int> labels, Ten
   const std::size_t m = probs.dim(0), n = probs.dim(1);
   const float* pp = probs.data();
   float* pd = dlogits.data();
+  for (const int y : labels)
+    require(y >= 0 && static_cast<std::size_t>(y) < n, "softmax_xent_backward: label range");
   const float inv_m = 1.0f / static_cast<float>(m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) pd[i * n + j] = pp[i * n + j] * inv_m;

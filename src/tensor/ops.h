@@ -1,8 +1,26 @@
 // Tensor math kernels used by the NN layers.
 //
 // Everything is a free function on Tensor / span<float>, single-threaded and
-// deterministic.  matmul uses a register-blocked ikj loop that is fast enough
-// for the scaled-down workloads this repo trains (see EXPERIMENTS.md).
+// deterministic.
+//
+// matmul, matmul_tn and matmul_nt share one register-blocked GEMM core
+// (tensor/gemm.cpp): a 6-row x 2-vector tile of C stays in vector registers
+// for the whole k loop and is written once; narrower row and column tails
+// reuse the same tile.  matmul_tn reads A through a stride, and matmul_nt
+// first packs B^T into a per-thread buffer reused across calls.  The core is
+// built 4 wide (SSE2 / NEON) and 8 wide (AVX2); the 8-wide build runs when
+// the CPU reports AVX2, decided once per process.
+//
+// Summation-order contract: every element of C is 0.0f plus its a*b products
+// added one at a time in ascending k order, each product rounded before its
+// add.  Results are therefore bit-identical across widths and, for finite
+// inputs, to the plain ikj / dot-product loops that tests/test_ops.cpp keeps
+// as the oracle, so every run fingerprint stays reproducible.  Zero entries
+// of A are not skipped: a zero times an inf or NaN in B makes that element
+// NaN, as IEEE arithmetic requires.  The AVX2 variant must never be built
+// with FMA, and no build may contract a*b+c: a fused multiply-add rounds
+// once and changes the bits.  The ISO -std=c++20 build keeps FP contraction
+// off.
 #pragma once
 
 #include <cstddef>

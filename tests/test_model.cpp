@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "data/batcher.h"
 #include "data/synthetic.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
+#include "nn/loss.h"
 #include "nn/zoo.h"
 
 namespace ss {
@@ -112,6 +115,43 @@ TEST(Zoo, ConvNetRequiresImageShapedInput) {
   Tensor x({2, 3 * 16 * 16}, 0.1f);
   const Tensor& y = m.forward(x);
   EXPECT_EQ(y.dim(1), 10u);
+}
+
+TEST(Model, GradientAtMatchesFullBackwardChain) {
+  // gradient_at runs the first layer params-only; every parameter gradient
+  // must equal, byte for byte, what the full backward chain leaves.
+  struct Case {
+    ModelArch arch;
+    std::size_t input_dim;
+  };
+  for (const Case c : {Case{ModelArch::kResNet32Lite, 64}, Case{ModelArch::kConvNetTiny, 768},
+                       Case{ModelArch::kResNet32BnLite, 64}}) {
+    Rng rng(51);
+    const Model proto = make_model(c.arch, c.input_dim, 10, rng);
+    const std::size_t batch = 8;
+    Tensor x({batch, c.input_dim});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+    std::vector<int> y(batch);
+    for (std::size_t i = 0; i < batch; ++i) y[i] = static_cast<int>(i % 10);
+    const std::vector<float> params = proto.get_params();
+
+    Model fast = proto.clone();
+    std::vector<float> got(params.size());
+    const double fast_loss = fast.gradient_at(params, x, y, got);
+
+    Model full = proto.clone();
+    full.set_params(params);
+    SoftmaxCrossEntropy head;
+    const double full_loss = head.forward(full.forward(x), y);
+    const Tensor* grad = &head.backward();
+    for (std::size_t i = full.num_layers(); i-- > 0;) grad = &full.layer(i).backward(*grad);
+    std::vector<float> want(params.size());
+    full.get_gradients(want);
+
+    EXPECT_EQ(fast_loss, full_loss) << arch_name(c.arch);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+        << arch_name(c.arch);
+  }
 }
 
 TEST(Model, LearnsEasySyntheticTask) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "common/rng.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -63,6 +66,27 @@ Tensor random_input(Shape shape, std::uint64_t seed) {
   return t;
 }
 
+/// Runs backward() on one copy of `layer` and backward_params() on another
+/// after the same forward, and expects byte-identical parameter gradients.
+void expect_params_only_backward_matches(const Layer& layer, const Tensor& x,
+                                         const std::vector<int>& labels) {
+  const std::unique_ptr<Layer> full = layer.clone();
+  const std::unique_ptr<Layer> params_only = layer.clone();
+  SoftmaxCrossEntropy head;
+  head.forward(full->forward(x), labels);
+  full->backward(head.backward());
+  head.forward(params_only->forward(x), labels);
+  params_only->backward_params(head.backward());
+  const auto want = full->grads();
+  const auto got = params_only->grads();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    ASSERT_EQ(got[t]->numel(), want[t]->numel());
+    EXPECT_EQ(std::memcmp(got[t]->data(), want[t]->data(), want[t]->numel() * sizeof(float)), 0)
+        << "grad tensor " << t;
+  }
+}
+
 TEST(Dense, NumericGradientCheck) {
   Rng rng(21);
   Dense layer(6, 4, rng);
@@ -110,6 +134,18 @@ TEST(Conv2D, NumericGradientCheck) {
   // 1x4x4 input, 2 output channels, 3x3 kernel, pad 1 -> out 2x4x4 = 32.
   Conv2D layer(1, 4, 4, 2, 3, 3, 1, rng);
   check_layer_gradients(layer, random_input({2, 16}, 28), {5, 17}, 1e-2);
+}
+
+TEST(Dense, ParamsOnlyBackwardGivesSameGradients) {
+  Rng rng(61);
+  const Dense layer(7, 5, rng);
+  expect_params_only_backward_matches(layer, random_input({6, 7}, 62), {0, 1, 2, 3, 4, 0});
+}
+
+TEST(Conv2D, ParamsOnlyBackwardGivesSameGradients) {
+  Rng rng(63);
+  const Conv2D layer(2, 5, 4, 3, 3, 3, 1, rng);  // 3 x 5 x 4 = 60 outputs
+  expect_params_only_backward_matches(layer, random_input({3, 2 * 5 * 4}, 64), {1, 59, 30});
 }
 
 TEST(Conv2D, OutputGeometry) {
