@@ -4,10 +4,14 @@
 // simulation cost: gradient computation, PS apply, pull (snapshot copy),
 // event-queue ops, checkpoint round-trip.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <future>
+#include <string>
 #include <thread>
 
+#include "common/log.h"
 #include "common/rng.h"
 #include "compress/qsgd.h"
 #include "core/sweep.h"
@@ -15,6 +19,8 @@
 #include "compress/topk.h"
 #include "nn/batchnorm.h"
 #include "data/synthetic.h"
+#include "net/ps_server.h"
+#include "net/socket_transport.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
 #include "ps/param_server.h"
@@ -199,6 +205,46 @@ void BM_PsPullParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(p));
 }
 BENCHMARK(BM_PsPullParallel)->Args({10'000'000, 8});
+
+// One socket step of the wire-wide shape: a SocketTransport pull plus one
+// dense push of the 512x256 linear model (131,328 params, 8 PS shards)
+// against a live run_ps_server over a Unix socket.  Both frames are ~525 KB,
+// so this is the frame path's cost per step: the gathered sends, the
+// streamed receives, the server's pull copy and its apply.
+void BM_WirePullPush(benchmark::State& state) {
+  set_log_level(LogLevel::kWarn);
+  PsServerConfig cfg;
+  cfg.listen = "unix:/tmp/ss_bench_wire_" + std::to_string(::getpid()) + ".sock";
+  cfg.num_workers = 1;
+  cfg.steps_per_worker = 1;
+  cfg.num_ps_shards = 8;
+  cfg.arch = ModelArch::kLinear;
+  cfg.data.num_classes = 256;
+  cfg.data.feature_dim = 512;
+  cfg.data.train_size = 64;
+  cfg.data.test_size = 64;
+  cfg.data.modes_per_class = 1;
+  std::promise<std::string> listening;
+  cfg.on_listening = [&listening](const std::string& ep) { listening.set_value(ep); };
+  std::thread server([&cfg] { (void)run_ps_server(cfg); });
+
+  AssignmentMsg a;
+  SocketTransport tx(listening.get_future().get(), a);
+  std::vector<float> params(tx.num_params());
+  const std::vector<float> grad(tx.num_params(), 1e-4f);
+  std::vector<std::int64_t> versions;
+  for (auto _ : state) {
+    tx.pull_with_versions(params, versions);
+    benchmark::DoNotOptimize(tx.push(grad, 0.01, versions));
+  }
+  (void)tx.drain_arrive(static_cast<std::int64_t>(state.iterations()));
+  tx.bye();
+  server.join();
+  state.counters["params"] = static_cast<double>(tx.num_params());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(tx.num_params() * sizeof(float)));
+}
+BENCHMARK(BM_WirePullPush)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // End-to-end live protocol switch on real threads: a tiny BSP -> ASP
 // schedule, including thread spawn, the per-round barriers, and the drain-

@@ -84,9 +84,15 @@ Dataset sample_set(const SyntheticSpec& spec, const ModeCenters& mc, std::size_t
   return Dataset(std::move(features), std::move(labels), spec.num_classes);
 }
 
-}  // namespace
+/// The generator's random state: the mode centers drawn from the root
+/// stream, then one forked stream per half (train = fork 1, test = fork 2).
+struct SyntheticStreams {
+  ModeCenters mc;
+  Rng train;
+  Rng test;
+};
 
-DataSplit make_synthetic(const SyntheticSpec& spec) {
+SyntheticStreams make_streams(const SyntheticSpec& spec) {
   if (spec.num_classes < 2) throw ConfigError("make_synthetic: need >= 2 classes");
   if (spec.feature_dim == 0) throw ConfigError("make_synthetic: feature_dim must be > 0");
   if (spec.modes_per_class < 1) throw ConfigError("make_synthetic: modes_per_class >= 1");
@@ -94,13 +100,33 @@ DataSplit make_synthetic(const SyntheticSpec& spec) {
     throw ConfigError("make_synthetic: label_noise in [0, 1)");
 
   Rng rng(spec.seed);
-  const ModeCenters mc = make_centers(spec, rng);
+  ModeCenters mc = make_centers(spec, rng);
   Rng train_rng = rng.fork(1);
   Rng test_rng = rng.fork(2);
+  return {std::move(mc), train_rng, test_rng};
+}
+
+Dataset sample_train(const SyntheticSpec& spec, SyntheticStreams& s) {
+  return sample_set(spec, s.mc, spec.train_size, spec.label_noise, s.train);
+}
+
+Dataset sample_test(const SyntheticSpec& spec, SyntheticStreams& s) {
+  return sample_set(spec, s.mc, spec.test_size, /*label_noise=*/0.0, s.test);
+}
+
+}  // namespace
+
+DataSplit make_synthetic(const SyntheticSpec& spec) {
+  SyntheticStreams s = make_streams(spec);
   DataSplit split;
-  split.train = sample_set(spec, mc, spec.train_size, spec.label_noise, train_rng);
-  split.test = sample_set(spec, mc, spec.test_size, /*label_noise=*/0.0, test_rng);
+  split.train = sample_train(spec, s);
+  split.test = sample_test(spec, s);
   return split;
+}
+
+Dataset make_synthetic_split(const SyntheticSpec& spec, SyntheticSplit which) {
+  SyntheticStreams s = make_streams(spec);
+  return which == SyntheticSplit::kTrain ? sample_train(spec, s) : sample_test(spec, s);
 }
 
 }  // namespace ss

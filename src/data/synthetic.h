@@ -46,4 +46,14 @@ struct SyntheticSpec {
 /// training noise.
 DataSplit make_synthetic(const SyntheticSpec& spec);
 
+/// One half of a make_synthetic split.
+enum class SyntheticSplit { kTrain, kTest };
+
+/// Generate only one half of `make_synthetic(spec)`: the same mode centers
+/// and the same per-half random stream, so the result is bit-identical to
+/// the matching member of the full split at the cost of that half alone.
+/// For processes that read one half (a socket worker trains, the PS server
+/// evaluates).
+Dataset make_synthetic_split(const SyntheticSpec& spec, SyntheticSplit which);
+
 }  // namespace ss

@@ -16,6 +16,16 @@
 // travel as their existing format-v2 serialization (nn/checkpoint.h), and
 // compressed pushes re-use CompressedPush's field set verbatim — the wire
 // object the codecs were designed around finally crosses a real wire.
+//
+// This file defines the format; net/socket.h moves it.  The step's big
+// messages (PullReply, PushDense, PushCompressed) are sent as gathered byte
+// ranges straight from the caller's spans, and PullReply / PushDense are
+// received field by field straight into their destination buffers, with
+// the same checks as the decoders here — so a dense step copies its
+// payload only where the PS snapshots under its shard locks, not through a
+// `Frame` on either side.  `Frame`, `encode_frame`/`decode_frame` and the
+// `*Msg` codecs remain the reference for those bytes and carry every other
+// message.
 #pragma once
 
 #include <cstdint>

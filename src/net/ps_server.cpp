@@ -100,26 +100,38 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
                                    "session worker " + std::to_string(worker));
   }
   InProcTransport tx(state.ps);
+  // Reused across requests: a pull is copied into params/versions under the
+  // shard locks and sent from there; a dense push is received straight into
+  // grad/versions.
+  std::vector<float> params(tx.num_params());
+  std::vector<float> grad(tx.num_params());
+  std::vector<std::int64_t> versions;
   bool drained = false;
   try {
+    FrameReader in(sock);
     Frame req;
-    while (recv_frame(sock, req)) {
+    while (in.next()) {
+      req.type = in.type();
       Frame reply;
+      bool reply_params = false;  // kPull: answered from params/versions
       try {
+        // Pull and PushDense stream their payloads; every other request is
+        // read whole and decoded by net/frame.h.
+        if (req.type == MsgType::kPull) {
+          in.skip();
+        } else if (req.type != MsgType::kPushDense) {
+          in.rest(req.payload);
+        }
         switch (req.type) {
           case MsgType::kPull: {
-            PullReplyMsg msg;
-            msg.params.resize(tx.num_params());
-            tx.pull_with_versions(msg.params, msg.versions);
-            reply = msg.encode();
+            tx.pull_with_versions(params, versions);
+            reply_params = true;
             break;
           }
           case MsgType::kPushDense: {
-            const PushDenseMsg msg = PushDenseMsg::decode(req.payload);
-            if (msg.grad.size() != tx.num_params())
-              throw NetError("PushDense: gradient length mismatch");
+            const double lr = read_push_dense(in, grad, versions, tx.num_shards());
             PushReplyMsg out;
-            out.staleness = tx.push(msg.grad, msg.lr, msg.pull_versions);
+            out.staleness = tx.push(grad, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
             reply = out.encode();
             break;
@@ -186,12 +198,20 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
                            std::to_string(static_cast<std::uint16_t>(req.type)));
         }
       } catch (const std::exception& e) {
-        // Request-level failure: report to the worker, keep the session.
+        // Request-level failure: drop the rest of its payload so the stream
+        // stays on a frame boundary, report it, keep the session.  After a
+        // short read skip() rethrows that read's error instead, to the
+        // eviction path below.
+        in.skip();
         ErrorMsg err;
         err.message = e.what();
         reply = err.encode();
       }
-      send_frame(sock, reply);
+      if (reply_params) {
+        send_pull_reply(sock, versions, params);
+      } else {
+        send_frame(sock, reply);
+      }
     }
     // Clean EOF without Bye: treat as a lost worker unless it already
     // drained (some clients just close after the release).
@@ -214,10 +234,10 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
 
   // The server builds the model only for its initial parameters and the
   // final evaluation; all gradient math happens in the worker processes.
+  // Only the test split is built: the server never reads training rows.
   Rng model_rng(cfg.seed);
-  const DataSplit split = make_synthetic(cfg.data);
-  Model model = make_model(cfg.arch, split.train.feature_dim(),
-                           cfg.data.num_classes, model_rng);
+  const Dataset test = make_synthetic_split(cfg.data, SyntheticSplit::kTest);
+  Model model = make_model(cfg.arch, cfg.data.feature_dim, cfg.data.num_classes, model_rng);
 
   ServerState state(model.get_params(), cfg.momentum, cfg.num_ps_shards, cfg.num_workers);
 
@@ -341,7 +361,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   result.final_params.resize(state.ps.num_params());
   state.ps.pull(result.final_params);
   model.set_params(result.final_params);
-  result.final_accuracy = model.evaluate_accuracy(split.test);
+  result.final_accuracy = model.evaluate_accuracy(test);
   return result;
 }
 

@@ -6,9 +6,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "common/error.h"
@@ -125,18 +129,37 @@ void Socket::close() noexcept {
   }
 }
 
-void Socket::send_all(const void* data, std::size_t n) {
+void Socket::send_all(std::span<iovec> parts) {
   if (fd_ < 0) throw NetError("Socket::send_all: socket closed");
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (n > 0) {
+  iovec* iov = parts.data();
+  std::size_t left = parts.size();
+  while (true) {
+    while (left > 0 && iov->iov_len == 0) {
+      ++iov;
+      --left;
+    }
+    if (left == 0) return;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = std::min<std::size_t>(left, IOV_MAX);
     // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the process.
-    const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
+    const ssize_t sent = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       throw_errno("Socket::send_all");
     }
-    p += sent;
-    n -= static_cast<std::size_t>(sent);
+    // Resume after a short write: drop the parts that went out whole and
+    // advance into the one cut mid-way.
+    auto done = static_cast<std::size_t>(sent);
+    while (done > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --left;
+    }
+    if (done > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
 }
 
@@ -159,56 +182,258 @@ bool Socket::recv_all(void* data, std::size_t n, bool eof_ok) {
   return true;
 }
 
-void send_frame(Socket& sock, const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+// ------------------------------------------------------------------ send
+
+namespace {
+
+/// A frame to send, as byte ranges: the header and scalar fields are copied
+/// into an inline buffer, arrays are borrowed and must outlive the send.
+/// Fields are appended in the order of the message's `encode()`
+/// (net/frame.h), so the bytes on the wire are the same.
+class GatherFrame {
+ public:
+  explicit GatherFrame(MsgType type);
+  GatherFrame(const GatherFrame&) = delete;
+  GatherFrame& operator=(const GatherFrame&) = delete;
+
+  template <typename T>
+  void scalar(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    copy_in(&v, sizeof(v));
+  }
+  /// `[u64 count][elements]`, the elements borrowed in place.
+  template <typename T>
+  void array(std::span<const T> v) {
+    scalar(static_cast<std::uint64_t>(v.size()));
+    borrow(v.data(), v.size_bytes());
+  }
+  template <typename T>
+  void array(const std::vector<T>& v) {
+    array(std::span<const T>(v));
+  }
+  /// Raw payload bytes, borrowed in place.
+  void bytes(std::span<const std::uint8_t> b) { borrow(b.data(), b.size()); }
+
+  [[nodiscard]] MsgType type() const noexcept { return type_; }
+  [[nodiscard]] std::uint64_t payload_bytes() const noexcept { return payload_; }
+  /// The whole frame, header first.
+  [[nodiscard]] std::span<iovec> parts() noexcept { return {parts_.data(), count_}; }
+
+ private:
+  static constexpr std::size_t kInlineBytes = 96;
+  static constexpr std::size_t kMaxParts = 8;
+
+  void copy_in(const void* src, std::size_t n);
+  void borrow(const void* src, std::size_t n);
+  void grow(std::size_t n);  ///< count n more payload bytes in the header
+
+  MsgType type_;
+  std::uint64_t payload_ = 0;
+  std::size_t used_ = 0;   ///< inline bytes in use, header included
+  std::size_t count_ = 0;  ///< parts in use
+  alignas(8) std::array<std::uint8_t, kInlineBytes> inline_{};
+  std::array<iovec, kMaxParts> parts_{};
+};
+
+GatherFrame::GatherFrame(MsgType type) : type_(type) {
+  // The header's payload length (bytes 8..16) is kept current as parts land.
+  const auto raw_type = static_cast<std::uint16_t>(type);
+  std::memcpy(inline_.data(), &kFrameMagic, 4);
+  std::memcpy(inline_.data() + 4, &kFrameVersion, 2);
+  std::memcpy(inline_.data() + 6, &raw_type, 2);
+  std::memcpy(inline_.data() + 8, &payload_, 8);
+  used_ = kFrameHeaderBytes;
+  parts_[count_++] = iovec{inline_.data(), kFrameHeaderBytes};
+}
+
+void GatherFrame::copy_in(const void* src, std::size_t n) {
+  if (used_ + n > kInlineBytes) throw std::length_error("GatherFrame: inline buffer full");
+  std::uint8_t* dst = inline_.data() + used_;
+  std::memcpy(dst, src, n);
+  used_ += n;
+  iovec& last = parts_[count_ - 1];  // the header is always part 0
+  if (static_cast<std::uint8_t*>(last.iov_base) + last.iov_len == dst) {
+    last.iov_len += n;
+    grow(n);
+  } else {
+    borrow(dst, n);
+  }
+}
+
+void GatherFrame::borrow(const void* src, std::size_t n) {
+  if (n == 0) return;  // empty vectors hand over a null data()
+  if (count_ == kMaxParts) throw std::length_error("GatherFrame: too many parts");
+  parts_[count_++] = iovec{const_cast<void*>(src), n};
+  grow(n);
+}
+
+void GatherFrame::grow(std::size_t n) {
+  payload_ += n;
+  std::memcpy(inline_.data() + 8, &payload_, sizeof(payload_));
+}
+
+/// Send `frame` (its iovecs are consumed) and record the wire metrics.
+void send_gathered(Socket& sock, GatherFrame& frame) {
   if (!obs::enabled()) {
-    sock.send_all(bytes.data(), bytes.size());
+    sock.send_all(frame.parts());
     return;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  sock.send_all(bytes.data(), bytes.size());
+  sock.send_all(frame.parts());
   const auto t1 = std::chrono::steady_clock::now();
   WireMetrics& m = wire_metrics();
-  const auto n = static_cast<std::int64_t>(bytes.size());
+  const auto n = static_cast<std::int64_t>(kFrameHeaderBytes + frame.payload_bytes());
   m.frames_sent.add();
   m.bytes_sent.add(n);
   m.sent_frame_bytes.observe(static_cast<double>(n));
   m.send_seconds.observe(std::chrono::duration<double>(t1 - t0).count());
   if (obs::tracing()) {
     auto& tr = obs::tracer();
-    tr.complete(obs::thread_track(), std::string("send ") + msg_type_name(frame.type),
+    tr.complete(obs::thread_track(), std::string("send ") + msg_type_name(frame.type()),
                 tr.to_us(t0), tr.to_us(t1) - tr.to_us(t0), {obs::arg("bytes", n)});
   }
 }
 
-bool recv_frame(Socket& sock, Frame& frame) {
+}  // namespace
+
+void send_frame(Socket& sock, const Frame& frame) {
+  GatherFrame g(frame.type);
+  g.bytes(frame.payload);
+  send_gathered(sock, g);
+}
+
+void send_pull_reply(Socket& sock, std::span<const std::int64_t> versions,
+                     std::span<const float> params) {
+  GatherFrame g(MsgType::kPullReply);
+  g.array(versions);
+  g.array(params);
+  send_gathered(sock, g);
+}
+
+void send_push_dense(Socket& sock, double lr, std::span<const std::int64_t> pull_versions,
+                     std::span<const float> grad) {
+  GatherFrame g(MsgType::kPushDense);
+  g.scalar(lr);
+  g.array(pull_versions);
+  g.array(grad);
+  send_gathered(sock, g);
+}
+
+void send_push_compressed(Socket& sock, double lr,
+                          std::span<const std::int64_t> pull_versions,
+                          const CompressedPush& push) {
+  GatherFrame g(MsgType::kPushCompressed);
+  g.scalar(lr);
+  g.array(pull_versions);
+  g.scalar(static_cast<std::uint8_t>(push.format));
+  g.scalar(static_cast<std::uint64_t>(push.num_params));
+  g.scalar(static_cast<std::uint64_t>(push.wire_size));
+  g.array(push.values);
+  g.array(push.indices);
+  send_gathered(sock, g);
+}
+
+// --------------------------------------------------------------- receive
+
+bool FrameReader::next() {
   std::uint8_t header[kFrameHeaderBytes];
-  if (!sock.recv_all(header, sizeof(header), /*eof_ok=*/true)) return false;
-  const std::uint64_t payload_size =
-      decode_frame_header(std::span<const std::uint8_t>(header, sizeof(header)), frame.type);
-  frame.payload.resize(payload_size);
-  if (!obs::enabled()) {
-    if (payload_size > 0)
-      (void)sock.recv_all(frame.payload.data(), payload_size, /*eof_ok=*/false);
-    return true;
-  }
+  remaining_ = payload_ = 0;
+  if (!sock_.recv_all(header, sizeof(header), /*eof_ok=*/true)) return false;
+  payload_ = decode_frame_header(std::span<const std::uint8_t>(header, sizeof(header)), type_);
+  remaining_ = payload_;
   // The span clock starts after the header: header blocking time is mostly
   // idle wait for the peer to speak, not transfer cost.
-  const auto t0 = std::chrono::steady_clock::now();
-  if (payload_size > 0) (void)sock.recv_all(frame.payload.data(), payload_size, /*eof_ok=*/false);
+  if (obs::enabled()) t0_ = std::chrono::steady_clock::now();
+  if (remaining_ == 0) received();
+  return true;
+}
+
+void FrameReader::read_bytes(void* dst, std::size_t n) {
+  if (n > remaining_) fail("truncated payload");
+  if (n == 0) return;
+  try {
+    (void)sock_.recv_all(dst, n, /*eof_ok=*/false);
+  } catch (...) {
+    broken_by_ = std::current_exception();
+    throw;
+  }
+  remaining_ -= n;
+  if (remaining_ == 0) received();
+}
+
+void FrameReader::rest(std::vector<std::uint8_t>& out) {
+  out.resize(static_cast<std::size_t>(remaining_));
+  read(std::span<std::uint8_t>(out));
+}
+
+void FrameReader::finish() const {
+  if (remaining_ != 0) fail("trailing bytes");
+}
+
+void FrameReader::skip() {
+  if (broken_by_) std::rethrow_exception(broken_by_);
+  std::uint8_t sink[4096];
+  while (remaining_ > 0) read_bytes(sink, std::min<std::uint64_t>(remaining_, sizeof(sink)));
+}
+
+void FrameReader::fail(const char* what) const {
+  throw NetError(std::string(msg_type_name(type_)) + ": " + what);
+}
+
+void FrameReader::received() {
+  if (!obs::enabled()) return;
   const auto t1 = std::chrono::steady_clock::now();
   WireMetrics& m = wire_metrics();
-  const auto n = static_cast<std::int64_t>(kFrameHeaderBytes + payload_size);
+  const auto n = static_cast<std::int64_t>(kFrameHeaderBytes + payload_);
   m.frames_received.add();
   m.bytes_received.add(n);
   m.recv_frame_bytes.observe(static_cast<double>(n));
-  m.recv_seconds.observe(std::chrono::duration<double>(t1 - t0).count());
+  m.recv_seconds.observe(std::chrono::duration<double>(t1 - t0_).count());
   if (obs::tracing()) {
     auto& tr = obs::tracer();
-    tr.complete(obs::thread_track(), std::string("recv ") + msg_type_name(frame.type),
-                tr.to_us(t0), tr.to_us(t1) - tr.to_us(t0), {obs::arg("bytes", n)});
+    tr.complete(obs::thread_track(), std::string("recv ") + msg_type_name(type_),
+                tr.to_us(t0_), tr.to_us(t1) - tr.to_us(t0_), {obs::arg("bytes", n)});
   }
+}
+
+bool recv_frame(Socket& sock, Frame& frame) {
+  FrameReader in(sock);
+  if (!in.next()) return false;
+  frame.type = in.type();
+  in.rest(frame.payload);
   return true;
+}
+
+namespace {
+
+/// A streamed message's version vector: non-empty, and one entry per shard.
+void read_versions(FrameReader& in, std::vector<std::int64_t>& versions,
+                   std::size_t num_shards) {
+  const std::size_t n = in.count<std::int64_t>();
+  if (n == 0) in.fail("empty version vector");
+  if (n != num_shards) in.fail("version count mismatch");
+  versions.resize(n);
+  in.read(std::span<std::int64_t>(versions));
+}
+
+}  // namespace
+
+void read_pull_reply(FrameReader& in, std::span<float> params,
+                     std::vector<std::int64_t>& versions, std::size_t num_shards) {
+  read_versions(in, versions, num_shards);
+  if (in.count<float>() != params.size()) in.fail("parameter count mismatch");
+  in.read(params);
+  in.finish();
+}
+
+double read_push_dense(FrameReader& in, std::span<float> grad,
+                       std::vector<std::int64_t>& versions, std::size_t num_shards) {
+  const auto lr = in.scalar<double>();
+  read_versions(in, versions, num_shards);
+  if (in.count<float>() != grad.size()) in.fail("gradient length mismatch");
+  in.read(grad);
+  in.finish();
+  return lr;
 }
 
 Socket connect_endpoint(const std::string& endpoint) {

@@ -1,10 +1,37 @@
 #include "net/socket_transport.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace ss {
+
+namespace {
+
+/// Read a reply header.  A kError reply becomes NetError("ps_server: ...");
+/// any other type but `expected` is skipped and rejected.
+void expect_reply(FrameReader& in, MsgType expected) {
+  if (!in.next()) throw NetError("SocketTransport: server closed the connection");
+  if (in.type() == MsgType::kError) {
+    std::vector<std::uint8_t> payload;
+    in.rest(payload);
+    throw NetError("ps_server: " + ErrorMsg::decode(payload).message);
+  }
+  if (in.type() != expected) {
+    in.skip();
+    throw NetError("SocketTransport: unexpected reply type " +
+                   std::to_string(static_cast<std::uint16_t>(in.type())));
+  }
+}
+
+/// Receive a whole reply of type `expected`.
+Frame receive(Socket& sock, MsgType expected) {
+  FrameReader in(sock);
+  expect_reply(in, expected);
+  Frame reply{expected, {}};
+  in.rest(reply.payload);
+  return reply;
+}
+
+}  // namespace
 
 SocketTransport::SocketTransport(const std::string& endpoint, AssignmentMsg& assignment)
     : sock_(connect_endpoint(endpoint)) {
@@ -26,15 +53,7 @@ AssignmentMsg SocketTransport::handshake() {
 
 Frame SocketTransport::rpc(const Frame& request, MsgType expected) {
   send_frame(sock_, request);
-  Frame reply;
-  if (!recv_frame(sock_, reply))
-    throw NetError("SocketTransport: server closed the connection");
-  if (reply.type == MsgType::kError)
-    throw NetError("ps_server: " + ErrorMsg::decode(reply.payload).message);
-  if (reply.type != expected)
-    throw NetError("SocketTransport: unexpected reply type " +
-                   std::to_string(static_cast<std::uint16_t>(reply.type)));
-  return reply;
+  return receive(sock_, expected);
 }
 
 void SocketTransport::pull(std::span<float> out) {
@@ -44,32 +63,27 @@ void SocketTransport::pull(std::span<float> out) {
 
 void SocketTransport::pull_with_versions(std::span<float> out,
                                          std::vector<std::int64_t>& versions) {
-  const Frame reply = rpc(make_empty_frame(MsgType::kPull), MsgType::kPullReply);
-  PullReplyMsg msg = PullReplyMsg::decode(reply.payload);
-  if (msg.params.size() != out.size() || msg.versions.size() != num_shards_)
-    throw NetError("SocketTransport::pull: reply shape mismatch");
-  std::copy(msg.params.begin(), msg.params.end(), out.begin());
-  versions = std::move(msg.versions);
+  send_frame(sock_, make_empty_frame(MsgType::kPull));
+  FrameReader in(sock_);
+  expect_reply(in, MsgType::kPullReply);
+  try {
+    read_pull_reply(in, out, versions, num_shards_);
+  } catch (const NetError&) {
+    in.skip();  // keep the connection on a frame boundary
+    throw;
+  }
 }
 
 std::int64_t SocketTransport::push(std::span<const float> grad, double lr,
                                    std::span<const std::int64_t> pull_versions) {
-  PushDenseMsg msg;
-  msg.lr = lr;
-  msg.pull_versions.assign(pull_versions.begin(), pull_versions.end());
-  msg.grad.assign(grad.begin(), grad.end());
-  const Frame reply = rpc(msg.encode(), MsgType::kPushReply);
-  return PushReplyMsg::decode(reply.payload).staleness;
+  send_push_dense(sock_, lr, pull_versions, grad);
+  return PushReplyMsg::decode(receive(sock_, MsgType::kPushReply).payload).staleness;
 }
 
 std::int64_t SocketTransport::push_compressed(const CompressedPush& push, double lr,
                                               std::span<const std::int64_t> pull_versions) {
-  PushCompressedMsg msg;
-  msg.lr = lr;
-  msg.pull_versions.assign(pull_versions.begin(), pull_versions.end());
-  msg.push = push;
-  const Frame reply = rpc(msg.encode(), MsgType::kPushReply);
-  return PushReplyMsg::decode(reply.payload).staleness;
+  send_push_compressed(sock_, lr, pull_versions, push);
+  return PushReplyMsg::decode(receive(sock_, MsgType::kPushReply).payload).staleness;
 }
 
 std::int64_t SocketTransport::push_scalar(std::span<const float> grad, double lr,

@@ -33,24 +33,26 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
   log_info("worker ", a.worker, ": joined ", cfg.endpoint, " (", a.num_params,
            " params, quota ", a.steps_per_worker, " steps)");
 
-  // Rebuild the run's inputs from the assignment alone.  The model is built
-  // with the same seed the server used, though only its shape matters:
-  // gradient_at computes at the pulled parameters, not the local ones.
-  const DataSplit split = make_synthetic(a.data);
+  // Rebuild the run's inputs from the assignment alone: the training half
+  // of the dataset (the server evaluates on the test half) and the model,
+  // built with the same seed the server used, though only its shape
+  // matters: gradient_at computes at the pulled parameters, not the local
+  // ones.
+  const Dataset train = make_synthetic_split(a.data, SyntheticSplit::kTrain);
   Rng model_rng(a.seed);
-  Model model = make_model(a.arch, split.train.feature_dim(), a.data.num_classes, model_rng);
+  Model model = make_model(a.arch, train.feature_dim(), a.data.num_classes, model_rng);
   if (model.num_params() != a.num_params)
     throw NetError("worker: model has " + std::to_string(model.num_params()) +
                    " params but the server assigned " + std::to_string(a.num_params));
 
   // Per-slot RNG streams, identical to the threaded runtime's initial slots.
   Rng root(a.seed);
-  const auto shards = make_shards(split.train.size(), a.num_workers);
+  const auto shards = make_shards(train.size(), a.num_workers);
   MinibatchSampler sampler(shards[w % shards.size()], a.batch_size, root.fork(w + 1));
   Rng codec_rng = root.fork(a.num_workers + 1 + w);
   std::optional<CompressorBank> bank = a.compression.make_bank(a.num_workers);
 
-  Tensor batch_x({a.batch_size, split.train.feature_dim()});
+  Tensor batch_x({a.batch_size, train.feature_dim()});
   std::vector<int> batch_y;
   std::vector<float> snapshot(a.num_params);
   std::vector<float> grad(a.num_params);
@@ -70,7 +72,7 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
                                    : std::chrono::steady_clock::time_point{};
     tx.pull_with_versions(snapshot, pull_versions);
     sampler.next_batch(indices);
-    split.train.gather(indices, batch_x, batch_y);
+    train.gather(indices, batch_x, batch_y);
     model.gradient_at(snapshot, batch_x, batch_y, grad);
     if (bank) {
       const CompressedPush push = bank->encode(static_cast<int>(w), grad, codec_rng);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "common/error.h"
@@ -64,6 +65,33 @@ TEST(Synthetic, RejectsInvalidSpecs) {
   bad = tiny_spec();
   bad.label_noise = 1.5;
   EXPECT_THROW(make_synthetic(bad), ConfigError);
+}
+
+/// Byte-for-byte equality of two datasets: shape, features and labels.
+void expect_same_bytes(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.feature_dim(), b.feature_dim());
+  EXPECT_EQ(a.num_classes(), b.num_classes());
+  const std::size_t n = a.features().numel();
+  ASSERT_EQ(n, b.features().numel());
+  EXPECT_EQ(std::memcmp(a.features().data(), b.features().data(), n * sizeof(float)), 0);
+  ASSERT_EQ(a.labels().size(), b.labels().size());
+  EXPECT_EQ(std::memcmp(a.labels().data(), b.labels().data(), a.labels().size() * sizeof(int)),
+            0);
+}
+
+TEST(Synthetic, SingleSplitMatchesTheFullSplitBitForBit) {
+  SyntheticSpec spec = SyntheticSpec::cifar100_like();
+  spec.train_size = 300;
+  spec.test_size = 200;
+  for (const SyntheticSpec& s : {tiny_spec(), spec}) {
+    const DataSplit full = make_synthetic(s);
+    expect_same_bytes(make_synthetic_split(s, SyntheticSplit::kTrain), full.train);
+    expect_same_bytes(make_synthetic_split(s, SyntheticSplit::kTest), full.test);
+  }
+  auto bad = tiny_spec();
+  bad.num_classes = 1;
+  EXPECT_THROW(make_synthetic_split(bad, SyntheticSplit::kTest), ConfigError);
 }
 
 TEST(Dataset, GatherCopiesRowsAndLabels) {

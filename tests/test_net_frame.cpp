@@ -1,12 +1,17 @@
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "net/socket.h"
 
 namespace ss {
 namespace {
@@ -250,7 +255,7 @@ struct MalformedPayloadCase {
   const char* expect_substr;
 };
 
-TEST(NetFrame, MalformedPayloadsThrowTypedErrors) {
+std::vector<MalformedPayloadCase> malformed_payload_cases() {
   std::vector<MalformedPayloadCase> cases;
 
   {
@@ -308,8 +313,11 @@ TEST(NetFrame, MalformedPayloadsThrowTypedErrors) {
     Frame f = make_empty_frame(MsgType::kAssignment);
     cases.push_back({"assignment_empty_payload", std::move(f), "truncated payload"});
   }
+  return cases;
+}
 
-  for (const MalformedPayloadCase& c : cases) {
+TEST(NetFrame, MalformedPayloadsThrowTypedErrors) {
+  for (const MalformedPayloadCase& c : malformed_payload_cases()) {
     try {
       switch (c.frame.type) {
         case MsgType::kPullReply:
@@ -355,6 +363,238 @@ TEST(NetFrame, AssignmentRejectsWorkerSlotOutOfRange) {
   m.worker = 4;
   m.num_workers = 4;  // valid slots are 0..3
   EXPECT_THROW((void)AssignmentMsg::decode(m.encode().payload), NetError);
+}
+
+// ---------------------------------------------------------------------------
+// The socket layer's gather send and streaming receive (net/socket.h): the
+// same bytes as encode_frame, and the same strictness as the decoders.
+// ---------------------------------------------------------------------------
+
+std::pair<Socket, Socket> socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) throw NetError("socketpair failed");
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
+/// Check that `send` writes exactly `want` to one end of a socket pair.  The
+/// writer runs on its own thread so frames larger than the socket buffer go
+/// out in several writes.
+void expect_sent(const std::function<void(Socket&)>& send, const std::vector<std::uint8_t>& want) {
+  auto [tx, rx] = socket_pair();
+  std::thread writer([&send, tx = std::move(tx)]() mutable {
+    try {
+      send(tx);
+    } catch (const NetError&) {
+      // The reader sees the short stream and reports it.
+    }
+    tx.close();
+  });
+  std::vector<std::uint8_t> got(want.size());
+  bool more = false;
+  try {
+    (void)rx.recv_all(got.data(), got.size(), /*eof_ok=*/false);
+    std::uint8_t extra = 0;
+    more = rx.recv_all(&extra, 1, /*eof_ok=*/true);
+  } catch (const NetError& e) {
+    ADD_FAILURE() << "short frame: " << e.what();
+  }
+  writer.join();
+  EXPECT_FALSE(more) << "bytes past the encoded frame";
+  EXPECT_EQ(got, want);
+}
+
+/// One end of a socket pair holding `bytes` followed by EOF, ready to read.
+Socket loaded_socket(std::vector<std::uint8_t> bytes) {
+  auto [tx, rx] = socket_pair();
+  iovec all{bytes.data(), bytes.size()};
+  tx.send_all(std::span<iovec>(&all, 1));  // small corpus frames fit the buffer
+  return std::move(rx);
+}
+
+std::vector<float> ramp(std::size_t n, float scale) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = scale * static_cast<float>(i) - 3.0f;
+  return v;
+}
+
+TEST(NetFrame, GatherSendWritesTheEncodedBytes) {
+  // Larger than a Unix socket's buffer: the frame crosses in several chunks
+  // while the reader drains it.
+  PullReplyMsg pull;
+  pull.versions = {4, 5, 6, 7, 8, 9, 10, 11};
+  pull.params = ramp(300'000, 0.25f);
+  expect_sent([&](Socket& s) { send_pull_reply(s, pull.versions, pull.params); },
+              encode_frame(pull.encode()));
+
+  PushDenseMsg push;
+  push.lr = 0.05;
+  push.pull_versions = {3, 3};
+  push.grad = ramp(1'000, -0.5f);
+  expect_sent([&](Socket& s) { send_push_dense(s, push.lr, push.pull_versions, push.grad); },
+              encode_frame(push.encode()));
+
+  PushCompressedMsg dense;
+  dense.lr = 0.02;
+  dense.pull_versions = {1};
+  dense.push.format = CompressedPush::Format::kDense;
+  dense.push.num_params = 64;
+  dense.push.wire_size = 20;
+  dense.push.values = ramp(64, 1.0f);
+  expect_sent(
+      [&](Socket& s) { send_push_compressed(s, dense.lr, dense.pull_versions, dense.push); },
+      encode_frame(dense.encode()));
+
+  PushCompressedMsg sparse;
+  sparse.lr = 0.01;
+  sparse.pull_versions = {1, 2};
+  sparse.push.format = CompressedPush::Format::kSparse;
+  sparse.push.num_params = 100;
+  sparse.push.wire_size = 16;
+  sparse.push.values = {0.5f, -0.5f};
+  sparse.push.indices = {7, 42};
+  expect_sent(
+      [&](Socket& s) { send_push_compressed(s, sparse.lr, sparse.pull_versions, sparse.push); },
+      encode_frame(sparse.encode()));
+
+  // Whole frames (the one-part case) and empty payloads take the same path.
+  ErrorMsg err;
+  err.message = "shard layout mismatch";
+  expect_sent([&](Socket& s) { send_frame(s, err.encode()); }, encode_frame(err.encode()));
+  expect_sent([&](Socket& s) { send_frame(s, make_empty_frame(MsgType::kPull)); },
+              encode_frame(make_empty_frame(MsgType::kPull)));
+}
+
+TEST(NetFrame, StreamedPullAndPushRoundTrip) {
+  PullReplyMsg pull;
+  pull.versions = {9, 8, 7};
+  pull.params = ramp(5'000, 0.125f);
+  PushDenseMsg push;
+  push.lr = 0.125;
+  push.pull_versions = {1, 2, 3};
+  push.grad = ramp(5'000, -1.0f);
+  std::vector<std::uint8_t> bytes = encode_frame(pull.encode());
+  const std::vector<std::uint8_t> second = encode_frame(push.encode());
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  Socket rx = loaded_socket(bytes);
+
+  FrameReader in(rx);
+  ASSERT_TRUE(in.next());
+  ASSERT_EQ(in.type(), MsgType::kPullReply);
+  std::vector<float> params(pull.params.size());
+  std::vector<std::int64_t> versions;
+  read_pull_reply(in, params, versions, 3);
+  EXPECT_EQ(params, pull.params);
+  EXPECT_EQ(versions, pull.versions);
+
+  ASSERT_TRUE(in.next());
+  ASSERT_EQ(in.type(), MsgType::kPushDense);
+  std::vector<float> grad(push.grad.size());
+  EXPECT_DOUBLE_EQ(read_push_dense(in, grad, versions, 3), push.lr);
+  EXPECT_EQ(grad, push.grad);
+  EXPECT_EQ(versions, push.pull_versions);
+  EXPECT_FALSE(in.next());  // clean EOF on the frame boundary
+}
+
+TEST(NetFrame, StreamingReaderRejectsMalformedFrames) {
+  for (const MalformedCase& c : malformed_cases()) {
+    Socket rx = loaded_socket(c.bytes);
+    FrameReader in(rx);
+    std::vector<std::uint8_t> payload;
+    // An over-long frame reads as a good frame followed by a cut-off header.
+    EXPECT_THROW(
+        {
+          while (in.next()) in.rest(payload);
+        },
+        NetError)
+        << c.name;
+  }
+}
+
+TEST(NetFrame, StreamingReaderRejectsMalformedPayloads) {
+  // Destinations carry a guard tail the reader must never touch.  The
+  // corpus' PullReply frames hold 1 shard and 2 params, its PushDense
+  // frames 1 shard and 1 gradient value; other types are received whole
+  // and decoded, as the server does.
+  constexpr float kGuard = 12345.0f;
+  for (const MalformedPayloadCase& c : malformed_payload_cases()) {
+    Socket rx = loaded_socket(encode_frame(c.frame));
+    FrameReader in(rx);
+    ASSERT_TRUE(in.next()) << c.name;
+    std::vector<float> dst(2 + 16, kGuard);
+    std::vector<std::int64_t> versions;
+    try {
+      switch (in.type()) {
+        case MsgType::kPullReply:
+          read_pull_reply(in, std::span<float>(dst).first(2), versions, 1);
+          break;
+        case MsgType::kPushDense:
+          (void)read_push_dense(in, std::span<float>(dst).first(1), versions, 1);
+          break;
+        default: {
+          std::vector<std::uint8_t> payload;
+          in.rest(payload);
+          if (in.type() == MsgType::kPushCompressed)
+            (void)PushCompressedMsg::decode(payload);
+          else
+            (void)AssignmentMsg::decode(payload);
+        }
+      }
+      ADD_FAILURE() << c.name << ": streamed without error";
+    } catch (const NetError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect_substr), std::string::npos)
+          << c.name << ": got '" << e.what() << "'";
+    }
+    for (std::size_t i = 2; i < dst.size(); ++i) EXPECT_EQ(dst[i], kGuard) << c.name;
+  }
+}
+
+TEST(NetFrame, StreamingReaderChecksShapeBeforeReading) {
+  PullReplyMsg pull;
+  pull.versions = {1, 1};
+  pull.params = ramp(8, 1.0f);
+  PushDenseMsg push;
+  push.pull_versions = {1, 1};
+  push.grad = ramp(8, 1.0f);
+  struct ShapeCase {
+    const char* name;
+    Frame frame;
+    std::size_t dst_size;
+    std::size_t num_shards;
+    const char* expect_substr;
+  };
+  const ShapeCase cases[] = {
+      {"pull_too_many_params", pull.encode(), 4, 2, "PullReply: parameter count mismatch"},
+      {"pull_too_few_params", pull.encode(), 16, 2, "PullReply: parameter count mismatch"},
+      {"pull_wrong_shards", pull.encode(), 8, 3, "PullReply: version count mismatch"},
+      {"push_too_long", push.encode(), 4, 2, "PushDense: gradient length mismatch"},
+      {"push_wrong_shards", push.encode(), 8, 1, "PushDense: version count mismatch"},
+  };
+  for (const ShapeCase& c : cases) {
+    // A good frame follows the bad one: after skip() it must read cleanly.
+    std::vector<std::uint8_t> bytes = encode_frame(c.frame);
+    const std::vector<std::uint8_t> next = encode_frame(make_empty_frame(MsgType::kOk));
+    bytes.insert(bytes.end(), next.begin(), next.end());
+    Socket rx = loaded_socket(bytes);
+    FrameReader in(rx);
+    ASSERT_TRUE(in.next());
+    std::vector<float> dst(c.dst_size, -1.0f);
+    std::vector<std::int64_t> versions;
+    try {
+      if (c.frame.type == MsgType::kPullReply)
+        read_pull_reply(in, dst, versions, c.num_shards);
+      else
+        (void)read_push_dense(in, dst, versions, c.num_shards);
+      ADD_FAILURE() << c.name << ": streamed without error";
+    } catch (const NetError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect_substr), std::string::npos)
+          << c.name << ": got '" << e.what() << "'";
+    }
+    for (const float v : dst) EXPECT_EQ(v, -1.0f) << c.name << ": wrote before the check";
+    in.skip();
+    ASSERT_TRUE(in.next()) << c.name;
+    EXPECT_EQ(in.type(), MsgType::kOk) << c.name;
+    EXPECT_FALSE(in.next()) << c.name;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -259,6 +260,68 @@ TEST(NetTransport, ServerRejectsProtocolVersionMismatch) {
   const WorkerProcessResult r = launch_worker(ep).get();
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(server.join().workers_joined, 1u);
+}
+
+TEST(NetTransport, RequestLevelErrorsKeepTheSession) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(5);
+  cfg.num_workers = 1;
+  cfg.steps_per_worker = 5;
+  cfg.num_ps_shards = 2;
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+
+  Socket sock = connect_endpoint(server.endpoint());
+  send_frame(sock, HelloMsg{}.encode());
+  Frame reply;
+  ASSERT_TRUE(recv_frame(sock, reply));
+  ASSERT_EQ(reply.type, MsgType::kAssignment);
+  const AssignmentMsg a = AssignmentMsg::decode(reply.payload);
+
+  // Each bad push must be answered with an Error frame, its payload
+  // discarded so the next frame still parses.
+  auto expect_error = [&](const Frame& bad, const char* substr) {
+    send_frame(sock, bad);
+    Frame r;
+    ASSERT_TRUE(recv_frame(sock, r));
+    ASSERT_EQ(r.type, MsgType::kError);
+    const std::string msg = ErrorMsg::decode(r.payload).message;
+    EXPECT_NE(msg.find(substr), std::string::npos) << msg;
+  };
+  PushDenseMsg good;
+  good.lr = 0.05;
+  good.pull_versions.assign(a.num_shards, 0);
+  good.grad.assign(a.num_params, 0.5f);
+
+  PushDenseMsg long_grad = good;
+  long_grad.grad.resize(a.num_params + 3, 0.5f);
+  expect_error(long_grad.encode(), "gradient length mismatch");
+
+  Frame overrun = good.encode();
+  const std::uint64_t lie = 1u << 20;  // version count past the payload's end
+  std::memcpy(overrun.payload.data() + sizeof(double), &lie, sizeof(lie));
+  expect_error(overrun, "truncated payload");
+
+  Frame trailing = good.encode();
+  trailing.payload.push_back(0xAB);
+  expect_error(trailing, "trailing bytes");
+
+  // The same connection still serves a valid pull, and no bad push landed.
+  send_frame(sock, make_empty_frame(MsgType::kPull));
+  ASSERT_TRUE(recv_frame(sock, reply));
+  ASSERT_EQ(reply.type, MsgType::kPullReply);
+  const PullReplyMsg pulled = PullReplyMsg::decode(reply.payload);
+  EXPECT_EQ(pulled.params.size(), a.num_params);
+  EXPECT_EQ(pulled.versions, std::vector<std::int64_t>(a.num_shards, 0));
+
+  DrainArriveMsg arrive;
+  send_frame(sock, arrive.encode());
+  ASSERT_TRUE(recv_frame(sock, reply));
+  EXPECT_EQ(reply.type, MsgType::kDrainRelease);
+  send_frame(sock, make_empty_frame(MsgType::kBye));
+  const PsServerResult res = server.join();
+  EXPECT_EQ(res.workers_evicted, 0u);
+  EXPECT_EQ(res.total_updates, 0);
 }
 
 TEST(NetTransport, ConnectToDeadEndpointThrowsNetError) {
